@@ -55,7 +55,8 @@ benchdiff:
 	@test -n "$(OLD)" -a -n "$(NEW)" || (echo "usage: make benchdiff OLD=a.json NEW=b.json" && exit 2)
 	$(GO) run ./cmd/colsgd-bench -benchdiff -old $(OLD) -new $(NEW)
 
-# fuzz gives each transport fuzzer a short live budget on top of the
+# fuzz gives each fuzzer (transport, wire, staleness, admission,
+# migration, gradient merge) a short live budget on top of the
 # checked-in corpus (which plain `go test` always replays).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/cluster/
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzStalenessClock -fuzztime=10s ./internal/ssp/
 	$(GO) test -run=^$$ -fuzz=FuzzAdmission -fuzztime=10s ./internal/serve/
 	$(GO) test -run=^$$ -fuzz=FuzzMigrationPlan -fuzztime=10s ./internal/membership/
+	$(GO) test -run=^$$ -fuzz=FuzzChunkMerge -fuzztime=10s ./internal/model/
 
 # cover reports statement coverage everywhere and enforces floors on
 # internal/wire — the one package whose bugs corrupt bytes silently

@@ -106,7 +106,6 @@ func (a customAdapter) PointLoss(label float64, stats []float64) float64 {
 }
 
 func (a customAdapter) Gradient(p *model.Params, batch model.Batch, stats []float64, grad *model.Params) {
-	grad.Zero()
 	a.impl.Gradient(p.W, toRows(batch.Rows), batch.Labels, stats, grad.W)
 }
 

@@ -79,7 +79,7 @@ func (s *Sequential) SampleBatch(seed int64) model.Batch {
 func (s *Sequential) StepBatch(b model.Batch) (float64, error) {
 	stats := s.mdl.PartialStats(s.params, b, nil)
 	loss := model.BatchLoss(s.mdl, b.Labels, stats)
-	grad := model.NewParams(s.mdl.ParamRows(), s.params.Width())
+	grad := model.NewParams(s.mdl.ParamRows(), s.params.Width()) // zeroed, as Gradient requires
 	s.mdl.Gradient(s.params, b, stats, grad)
 	if err := s.o.Apply(s.params, grad); err != nil {
 		return 0, err

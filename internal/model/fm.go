@@ -89,7 +89,6 @@ func (m FM) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model.
 func (m FM) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	spp := m.StatsPerPoint()
 	inv := 1 / float64(batch.Len())
 	for i := range batch.Rows {
@@ -115,9 +114,4 @@ func (m FM) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
 }
 
 // Predict implements Model: sign of the FM score.
-func (m FM) Predict(stats []float64) float64 {
-	if m.yhat(stats) >= 0 {
-		return 1
-	}
-	return -1
-}
+func (m FM) Predict(stats []float64) float64 { return sign(m.yhat(stats)) }

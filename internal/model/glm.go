@@ -2,25 +2,23 @@ package model
 
 import "math/rand"
 
-// LR is binary logistic regression (paper §VIII-B). Statistics: one dot
-// product ⟨w,x⟩ per point. Labels are ±1.
-type LR struct{}
-
-// Name implements Model.
-func (LR) Name() string { return "lr" }
+// linear is what the three linear models (LR, SVM, least squares) share:
+// one parameter row, one statistic per point (the partial dot product
+// ⟨w,x⟩), a zero start, and gradients that touch only the rows' columns.
+type linear struct{}
 
 // StatsPerPoint implements Model.
-func (LR) StatsPerPoint() int { return 1 }
+func (linear) StatsPerPoint() int { return 1 }
 
 // ParamRows implements Model.
-func (LR) ParamRows() int { return 1 }
+func (linear) ParamRows() int { return 1 }
 
-// Init implements Model; LR starts from the zero vector.
-func (LR) Init(p *Params, _ *rand.Rand) { p.Zero() }
+// Init implements Model; linear models start from the zero vector.
+func (linear) Init(p *Params, _ *rand.Rand) { p.Zero() }
 
 // PartialStats implements Model: partial dot products of each batch row
 // against the local weight slice.
-func (LR) PartialStats(p *Params, batch Batch, dst []float64) []float64 {
+func (linear) PartialStats(p *Params, batch Batch, dst []float64) []float64 {
 	dst = dst[:0]
 	w := p.W[0]
 	for i := range batch.Rows {
@@ -29,6 +27,21 @@ func (LR) PartialStats(p *Params, batch Batch, dst []float64) []float64 {
 	return dst
 }
 
+// sign maps a margin to a ±1 label; 0 counts as +1.
+func sign(margin float64) float64 {
+	if margin >= 0 {
+		return 1
+	}
+	return -1
+}
+
+// LR is binary logistic regression (paper §VIII-B). Statistics: one dot
+// product ⟨w,x⟩ per point. Labels are ±1.
+type LR struct{ linear }
+
+// Name implements Model.
+func (LR) Name() string { return "lr" }
+
 // PointLoss implements Model: log(1+exp(-y·⟨w,x⟩)).
 func (LR) PointLoss(label float64, stats []float64) float64 {
 	return sigmoidLoss(label * stats[0])
@@ -36,7 +49,6 @@ func (LR) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model: g = (1/B)·Σ_i −y_i/(1+exp(y_i·s_i))·x_i.
 func (LR) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	g := grad.W[0]
 	inv := 1 / float64(batch.Len())
 	for i := range batch.Rows {
@@ -46,38 +58,14 @@ func (LR) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
 }
 
 // Predict implements Model: sign of the margin.
-func (LR) Predict(stats []float64) float64 {
-	if stats[0] >= 0 {
-		return 1
-	}
-	return -1
-}
+func (LR) Predict(stats []float64) float64 { return sign(stats[0]) }
 
 // SVM is a linear support vector machine with hinge loss (paper §VIII-A).
 // Statistics: one dot product per point. Labels are ±1.
-type SVM struct{}
+type SVM struct{ linear }
 
 // Name implements Model.
 func (SVM) Name() string { return "svm" }
-
-// StatsPerPoint implements Model.
-func (SVM) StatsPerPoint() int { return 1 }
-
-// ParamRows implements Model.
-func (SVM) ParamRows() int { return 1 }
-
-// Init implements Model.
-func (SVM) Init(p *Params, _ *rand.Rand) { p.Zero() }
-
-// PartialStats implements Model.
-func (SVM) PartialStats(p *Params, batch Batch, dst []float64) []float64 {
-	dst = dst[:0]
-	w := p.W[0]
-	for i := range batch.Rows {
-		dst = append(dst, batch.Rows[i].Dot(w))
-	}
-	return dst
-}
 
 // PointLoss implements Model: max(0, 1−y·⟨w,x⟩).
 func (SVM) PointLoss(label float64, stats []float64) float64 {
@@ -89,7 +77,6 @@ func (SVM) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model: subgradient −y·x for margin violations.
 func (SVM) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	g := grad.W[0]
 	inv := 1 / float64(batch.Len())
 	for i := range batch.Rows {
@@ -100,40 +87,16 @@ func (SVM) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
 	}
 }
 
-// Predict implements Model.
-func (SVM) Predict(stats []float64) float64 {
-	if stats[0] >= 0 {
-		return 1
-	}
-	return -1
-}
+// Predict implements Model: sign of the margin.
+func (SVM) Predict(stats []float64) float64 { return sign(stats[0]) }
 
 // LeastSquares is linear regression with squared loss — the "Least
 // Squares" GLM the paper lists among supported models. Labels are real
 // valued.
-type LeastSquares struct{}
+type LeastSquares struct{ linear }
 
 // Name implements Model.
 func (LeastSquares) Name() string { return "linreg" }
-
-// StatsPerPoint implements Model.
-func (LeastSquares) StatsPerPoint() int { return 1 }
-
-// ParamRows implements Model.
-func (LeastSquares) ParamRows() int { return 1 }
-
-// Init implements Model.
-func (LeastSquares) Init(p *Params, _ *rand.Rand) { p.Zero() }
-
-// PartialStats implements Model.
-func (LeastSquares) PartialStats(p *Params, batch Batch, dst []float64) []float64 {
-	dst = dst[:0]
-	w := p.W[0]
-	for i := range batch.Rows {
-		dst = append(dst, batch.Rows[i].Dot(w))
-	}
-	return dst
-}
 
 // PointLoss implements Model: ½(⟨w,x⟩−y)².
 func (LeastSquares) PointLoss(label float64, stats []float64) float64 {
@@ -143,7 +106,6 @@ func (LeastSquares) PointLoss(label float64, stats []float64) float64 {
 
 // Gradient implements Model: (⟨w,x⟩−y)·x averaged over the batch.
 func (LeastSquares) Gradient(p *Params, batch Batch, stats []float64, grad *Params) {
-	grad.Zero()
 	g := grad.W[0]
 	inv := 1 / float64(batch.Len())
 	for i := range batch.Rows {

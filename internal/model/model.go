@@ -169,8 +169,10 @@ type Model interface {
 	PartialStats(p *Params, batch Batch, dst []float64) []float64
 	// PointLoss evaluates one point's loss from its aggregated stats.
 	PointLoss(label float64, stats []float64) float64
-	// Gradient computes the local gradient block (same shape as p) for
-	// the batch given aggregated statistics, averaged over the batch.
+	// Gradient accumulates the batch-mean local gradient block (same
+	// shape as p) from aggregated statistics into grad, which arrives
+	// zeroed: implementations never clear it, so pooled chunk scratch
+	// needs no full-width memclr per chunk.
 	Gradient(p *Params, batch Batch, stats []float64, grad *Params)
 	// Predict maps one point's aggregated statistics to a predicted
 	// label (±1 for binary models, class index for MLR).

@@ -109,13 +109,10 @@ type Kernel32 interface {
 	// local float32 parameter block, appending into dst (returned resized
 	// to batch.Len()·StatsPerPoint).
 	PartialStats32(p *Params32, batch Batch32, dst []float32) []float32
-	// Gradient32 computes the local gradient block (same shape as p) for
-	// the batch given aggregated statistics, averaged over the batch.
-	// grad must arrive zeroed: implementations only accumulate (they
-	// never clear), so ParallelGradient32's pooled chunk scratch can
-	// stay clean across steps instead of paying a full-width memclr per
-	// chunk. This is where the f32 contract deliberately diverges from
-	// Model.Gradient, which zeroes grad itself.
+	// Gradient32 accumulates the local gradient block (same shape as p)
+	// for the batch given aggregated statistics, averaged over the
+	// batch. Like Model.Gradient, grad arrives zeroed and
+	// implementations only accumulate into it.
 	Gradient32(p *Params32, batch Batch32, stats []float32, grad *Params32)
 }
 
@@ -139,8 +136,8 @@ func sigmoidCoeff32(y float64, s float32) float32 {
 	return float32(-y) / (1 + vec.Exp32(z))
 }
 
-// PartialStats32 implements Kernel32 for logistic regression.
-func (LR) PartialStats32(p *Params32, batch Batch32, dst []float32) []float32 {
+// PartialStats32 implements Kernel32 for the linear models.
+func (linear) PartialStats32(p *Params32, batch Batch32, dst []float32) []float32 {
 	dst = dst[:0]
 	w := p.W[0]
 	for i := range batch.Rows {
@@ -159,16 +156,6 @@ func (LR) Gradient32(p *Params32, batch Batch32, stats []float32, grad *Params32
 	}
 }
 
-// PartialStats32 implements Kernel32 for the linear SVM.
-func (SVM) PartialStats32(p *Params32, batch Batch32, dst []float32) []float32 {
-	dst = dst[:0]
-	w := p.W[0]
-	for i := range batch.Rows {
-		dst = append(dst, batch.Rows[i].Dot(w))
-	}
-	return dst
-}
-
 // Gradient32 implements Kernel32 for the linear SVM.
 func (SVM) Gradient32(p *Params32, batch Batch32, stats []float32, grad *Params32) {
 	g := grad.W[0]
@@ -179,16 +166,6 @@ func (SVM) Gradient32(p *Params32, batch Batch32, stats []float32, grad *Params3
 			batch.Rows[i].AddScaled(g, float32(-y)*inv)
 		}
 	}
-}
-
-// PartialStats32 implements Kernel32 for least squares.
-func (LeastSquares) PartialStats32(p *Params32, batch Batch32, dst []float32) []float32 {
-	dst = dst[:0]
-	w := p.W[0]
-	for i := range batch.Rows {
-		dst = append(dst, batch.Rows[i].Dot(w))
-	}
-	return dst
 }
 
 // Gradient32 implements Kernel32 for least squares.

@@ -339,13 +339,6 @@ func TestFMYhatAndStats(t *testing.T) {
 	}
 }
 
-func sign(v float64) float64 {
-	if v >= 0 {
-		return 1
-	}
-	return -1
-}
-
 func TestFMInitRandomizesFactors(t *testing.T) {
 	fm := mustFM(4)
 	p := NewParams(fm.ParamRows(), 10)

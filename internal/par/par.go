@@ -28,6 +28,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a fixed-size worker pool executing chunked loops. The zero
@@ -35,7 +36,7 @@ import (
 // everything inline, preserving the chunked arithmetic.
 type Pool struct {
 	procs int
-	tasks chan func()
+	tasks chan *job
 
 	mu     sync.RWMutex
 	closed bool
@@ -50,7 +51,7 @@ func New(procs int) *Pool {
 	}
 	p := &Pool{procs: procs}
 	if procs > 1 {
-		p.tasks = make(chan func(), 4*procs)
+		p.tasks = make(chan *job, 4*procs)
 		for i := 0; i < procs; i++ {
 			go worker(p.tasks)
 		}
@@ -62,9 +63,10 @@ func New(procs int) *Pool {
 	return p
 }
 
-func worker(tasks <-chan func()) {
-	for fn := range tasks {
-		fn()
+func worker(tasks <-chan *job) {
+	for j := range tasks {
+		j.work()
+		j.release()
 	}
 }
 
@@ -94,15 +96,15 @@ func (p *Pool) Shutdown() {
 	runtime.SetFinalizer(p, nil)
 }
 
-// trySubmit enqueues fn if the pool is open and has queue space.
-func (p *Pool) trySubmit(fn func()) bool {
+// trySubmit enqueues j if the pool is open and has queue space.
+func (p *Pool) trySubmit(j *job) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		return false
 	}
 	select {
-	case p.tasks <- fn:
+	case p.tasks <- j:
 		return true
 	default:
 		return false
@@ -135,13 +137,32 @@ func Bounds(c, n, grain int) (lo, hi int) {
 	return lo, hi
 }
 
+// Body is a chunked loop body: Chunk runs chunk c, covering [lo, hi).
+// Passing a pointer that implements Body to RunBody allocates nothing,
+// which is how the hot loops stay allocation-free; a closure handed to
+// Run is heap-allocated whenever it captures variables.
+type Body interface {
+	Chunk(c, lo, hi int)
+}
+
+// funcBody adapts a plain function to Body.
+type funcBody func(c, lo, hi int)
+
+func (f funcBody) Chunk(c, lo, hi int) { f(c, lo, hi) }
+
 // Run executes fn once per chunk of [0,n), passing the chunk index and
-// its [lo, hi) bounds. Chunks run concurrently on the pool's workers
-// (the calling goroutine executes any chunk the pool cannot take) and
-// Run returns only when every chunk has finished. fn must confine its
-// writes to chunk-local state; combine partials in ascending chunk order
-// after Run returns (see the package comment).
+// its [lo, hi) bounds; see RunBody.
 func (p *Pool) Run(n, grain int, fn func(chunk, lo, hi int)) {
+	p.RunBody(n, grain, funcBody(fn))
+}
+
+// RunBody executes b.Chunk once per chunk of [0,n). The calling
+// goroutine and up to Procs()-1 pool workers claim chunks in ascending
+// order until none are left, and RunBody returns only when every chunk
+// has finished. Chunks must confine their writes to chunk-local state;
+// combine partials in ascending chunk order after RunBody returns (see
+// the package comment).
+func (p *Pool) RunBody(n, grain int, b Body) {
 	nc := NumChunks(n, grain)
 	if nc == 0 {
 		return
@@ -149,22 +170,58 @@ func (p *Pool) Run(n, grain int, fn func(chunk, lo, hi int)) {
 	if p == nil || p.procs <= 1 || nc == 1 {
 		for c := 0; c < nc; c++ {
 			lo, hi := Bounds(c, n, grain)
-			fn(c, lo, hi)
+			b.Chunk(c, lo, hi)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for c := 0; c < nc; c++ {
-		c := c
-		lo, hi := Bounds(c, n, grain)
-		task := func() {
-			defer wg.Done()
-			fn(c, lo, hi)
-		}
-		if !p.trySubmit(task) {
-			task()
+	j := jobs.Get().(*job)
+	j.body, j.n, j.grain, j.nc = b, n, grain, nc
+	j.next.Store(0)
+	j.done.Add(nc)
+	j.refs.Store(1)
+	for h := min(p.procs, nc) - 1; h > 0; h-- {
+		j.refs.Add(1)
+		if !p.trySubmit(j) {
+			j.refs.Add(-1)
+			break
 		}
 	}
-	wg.Wait()
+	j.work()
+	j.done.Wait()
+	j.release()
+}
+
+// job is one RunBody call, shared by the caller and the workers it
+// enlisted. Participants claim chunk indices from next; done counts
+// unfinished chunks, and the caller waits on it alone, so it never waits
+// for a helper that is still queued behind other work. refs counts the
+// participants still holding the job: the last to let go recycles it.
+type job struct {
+	body         Body
+	n, grain, nc int
+	next         atomic.Int64
+	done         sync.WaitGroup
+	refs         atomic.Int32
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// work runs unclaimed chunks until none are left.
+func (j *job) work() {
+	for {
+		c := int(j.next.Add(1) - 1)
+		if c >= j.nc {
+			return
+		}
+		lo, hi := Bounds(c, j.n, j.grain)
+		j.body.Chunk(c, lo, hi)
+		j.done.Done()
+	}
+}
+
+func (j *job) release() {
+	if j.refs.Add(-1) == 0 {
+		j.body = nil
+		jobs.Put(j)
+	}
 }

@@ -3,6 +3,7 @@ package par
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -145,5 +146,47 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 	var nilPool *Pool
 	if nilPool.Procs() != 1 {
 		t.Fatalf("nil pool Procs() = %d, want 1", nilPool.Procs())
+	}
+}
+
+// countBody counts the items its chunks cover.
+type countBody struct{ items atomic.Int64 }
+
+func (b *countBody) Chunk(_, lo, hi int) { b.items.Add(int64(hi - lo)) }
+
+// TestRunBodyAllocs: a warm RunBody over a pointer Body allocates
+// nothing, inline and on pool workers alike. The chunked gradient
+// reduction's zero-allocation ceiling rests on this.
+func TestRunBodyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries on purpose")
+	}
+	for _, procs := range []int{1, 2, 4} {
+		p := New(procs)
+		b := &countBody{}
+		p.RunBody(1000, 16, b)
+		b.items.Store(0)
+		if got := testing.AllocsPerRun(100, func() { p.RunBody(1000, 16, b) }); got != 0 {
+			t.Errorf("P=%d: RunBody allocates %.1f/run, want 0", procs, got)
+		}
+		if n := b.items.Load(); n != 101*1000 { // AllocsPerRun adds a warm-up call
+			t.Errorf("P=%d: chunks covered %d items, want %d", procs, n, 101*1000)
+		}
+		p.Shutdown()
+	}
+}
+
+// TestNestedRunCompletes: a chunk that itself runs a loop on the same
+// pool must not deadlock. The caller claims chunks too and waits only
+// for chunks, never for helpers still queued behind busy workers.
+func TestNestedRunCompletes(t *testing.T) {
+	p := New(2)
+	defer p.Shutdown()
+	var total atomic.Int64
+	p.Run(64, 1, func(_, _, _ int) {
+		p.Run(64, 1, func(_, lo, hi int) { total.Add(int64(hi - lo)) })
+	})
+	if got := total.Load(); got != 64*64 {
+		t.Fatalf("nested runs covered %d items, want %d", got, 64*64)
 	}
 }
